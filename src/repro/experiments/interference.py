@@ -20,6 +20,7 @@ enters the D5000 link through its (side-)lobes:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -209,9 +210,9 @@ def channel_utilization(
     The default ``seed`` reproduces the published figures.
     """
     vubiq = _measurement_receiver()
-    rng = np.random.default_rng(seed)
     power_cache: Dict[Tuple[str, FrameKind], float] = {}
-    busy: List[FrameRecord] = []
+    heard: List[FrameRecord] = []
+    powers: List[float] = []
     for rec in scenario.medium.history:
         if rec.end_s <= window_start_s or rec.start_s >= window_end_s:
             continue
@@ -223,11 +224,15 @@ def channel_utilization(
         if power is None:
             power = vubiq.received_power_dbm(device, rec.kind)
             power_cache[key] = power
-        # Per-frame fading jitter: frames near the detection threshold
-        # are caught probabilistically, which smooths the utilization
-        # roll-off with distance like the real traces.
-        if power + float(rng.normal(0.0, 2.5)) >= threshold_dbm:
-            busy.append(rec)
+        heard.append(rec)
+        powers.append(power)
+    # Per-frame fading jitter: frames near the detection threshold
+    # are caught probabilistically, which smooths the utilization
+    # roll-off with distance like the real traces.  One draw per frame,
+    # in history order (the same stream as one scalar draw per frame).
+    jitter = np.random.default_rng(seed).normal(0.0, 2.5, size=len(powers))
+    detected = np.asarray(powers) + jitter >= threshold_dbm
+    busy = list(itertools.compress(heard, detected))
     return medium_usage_from_records(busy, window_start_s, window_end_s, bridge_gap_s=4e-6)
 
 

@@ -8,7 +8,10 @@ reflections shape the MAC-level interference, as in the reflection-
 interference experiment (Figure 7/23).
 
 Couplings are cached per (tx, rx, control) triple: device geometry is
-static within an experiment and ray tracing is the expensive step.
+static between moves and re-trainings, and ray tracing is the
+expensive step.  :meth:`DeviceCoupling.invalidate` drops cached pairs
+and, through the :class:`~repro.mac.simulator.CouplingModel` contract,
+the received-power table of every medium built on the model.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from repro.analysis.dbmath import power_sum_db
 from repro.devices.base import RadioDevice
 from repro.geometry.vec import Vec2
 from repro.mac.frames import FrameKind
-from repro.mac.simulator import Station
+from repro.mac.simulator import CouplingModel, Station
 from repro.phy.channel import LinkBudget
 from repro.phy.raytracing import RayTracer
 
 
-class DeviceCoupling:
+class DeviceCoupling(CouplingModel):
     """Path gain between stations backed by full device models.
 
     Args:
@@ -36,6 +39,11 @@ class DeviceCoupling:
             paths contribute and blockage penetration losses apply.
         isolation_db: Coupling assigned when no propagation path exists
             at all (e.g. fully shielded).
+
+    Cached values are reused until :meth:`invalidate`; code that moves
+    a device, re-trains its beam or changes its power or patterns
+    mid-run must call it with the device names (mobility and
+    association already do).
     """
 
     def __init__(
@@ -45,6 +53,7 @@ class DeviceCoupling:
         tracer: Optional[RayTracer] = None,
         isolation_db: float = -200.0,
     ):
+        super().__init__()
         self._devices = dict(devices)
         self._budget = budget
         self._tracer = tracer
@@ -58,15 +67,17 @@ class DeviceCoupling:
         dropped — unrelated pairs keep their (expensive, ray-traced)
         couplings.  With no arguments everything is cleared, which is
         what scenario-wide changes (an outage flag, a budget swap)
-        need.
+        need.  Subscribed media drop the same entries of their
+        received-power tables.
         """
         if not device_names:
             self._cache.clear()
-            return
-        names = set(device_names)
-        stale = [key for key in self._cache if key[0] in names or key[1] in names]
-        for key in stale:
-            del self._cache[key]
+        else:
+            names = set(device_names)
+            stale = [key for key in self._cache if key[0] in names or key[1] in names]
+            for key in stale:
+                del self._cache[key]
+        super().invalidate(*device_names)
 
     @property
     def cached_pair_count(self) -> int:

@@ -22,7 +22,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,22 +116,49 @@ class Station:
         return f"Station({self.name!r} @ ({self.position.x:.2f}, {self.position.y:.2f}))"
 
 
-class CouplingModel(Protocol):
+class CouplingModel:
     """Maps a transmitter/receiver station pair to a path gain in dB.
 
     The returned value is *gain* (typically a large negative number):
     ``rx_power_dbm = tx_power_dbm + coupling_db``.  ``control`` selects
     the wide control patterns at both ends.
+
+    Invalidation contract: a model's values may be reused by its
+    subscribers until :meth:`invalidate` is called.  Whoever changes
+    what :meth:`coupling_db` returns — moving or re-training a station,
+    changing its power or patterns, editing a table entry — calls
+    ``invalidate`` with the station names involved, or with no names
+    when anything may have changed.  Every :class:`Medium` subscribes
+    to its model and drops the affected entries of its received-power
+    table.
     """
 
+    def __init__(self) -> None:
+        self._subscribers: List[Callable[[Tuple[str, ...]], None]] = []
+
     def coupling_db(self, tx: Station, rx: Station, control: bool = False) -> float:
-        ...  # pragma: no cover
+        raise NotImplementedError  # pragma: no cover
+
+    def subscribe(self, callback: Callable[[Tuple[str, ...]], None]) -> None:
+        """Call ``callback(station_names)`` on every invalidation."""
+        self._subscribers.append(callback)
+
+    def invalidate(self, *station_names: str) -> None:
+        """Signal that values involving ``station_names`` (all values
+        when none are given) may have changed."""
+        for callback in self._subscribers:
+            callback(station_names)
 
 
-class FreeSpaceCoupling:
-    """Friis path loss plus both stations' antenna patterns."""
+class FreeSpaceCoupling(CouplingModel):
+    """Friis path loss plus both stations' antenna patterns.
+
+    Values follow the stations' current poses and patterns; call
+    :meth:`invalidate` after changing them mid-run.
+    """
 
     def __init__(self, frequency_hz: float, extra_loss_db: float = 0.0):
+        super().__init__()
         self._freq = frequency_hz
         self._extra = extra_loss_db
 
@@ -150,14 +177,15 @@ class FreeSpaceCoupling:
         )
 
 
-class StaticCoupling:
+class StaticCoupling(CouplingModel):
     """Explicit coupling table, for tests and handcrafted scenarios.
 
     Keys are ``(tx_name, rx_name)``; missing pairs fall back to a
-    default isolation value.
+    default isolation value.  :meth:`set` invalidates the pair it edits.
     """
 
     def __init__(self, table: Dict[Tuple[str, str], float], default_db: float = -200.0):
+        super().__init__()
         self._table = dict(table)
         self._default = default_db
 
@@ -166,6 +194,7 @@ class StaticCoupling:
 
     def set(self, tx_name: str, rx_name: str, value_db: float) -> None:
         self._table[(tx_name, rx_name)] = value_db
+        self.invalidate(tx_name, rx_name)
 
 
 class Simulator:
@@ -245,6 +274,12 @@ class Simulator:
             obs.add("mac.simulator.events", self.events_processed - start_events)
 
 
+#: Frame kind -> whether it is sent over the wide control patterns at
+#: boosted power (:meth:`FrameKind.uses_wide_pattern`), the pattern
+#: class that keys the medium's received-power table.
+_WIDE = {kind: kind.uses_wide_pattern() for kind in FrameKind}
+
+
 @dataclass
 class _ActiveTransmission:
     """Bookkeeping for a frame currently on the air."""
@@ -253,6 +288,7 @@ class _ActiveTransmission:
     tx: Station
     rx: Optional[Station]
     signal_dbm: Optional[float]  # at the intended receiver
+    wide: bool  # pattern class of the frame, see _WIDE
     max_interference_mw: float = 0.0
 
 
@@ -262,6 +298,15 @@ class Medium:
     Tracks active transmissions, accumulates interference seen by each
     in-flight frame, decides delivery at frame end, and offers carrier
     sensing plus become-idle callbacks to CSMA stations.
+
+    Received power is read from one table keyed by ``(tx name, rx name,
+    wide)``, where ``wide`` is the frame's pattern class (wide control
+    patterns at boosted power, or the trained data beams).  An entry
+    holds ``tx.tx_power_for(kind) + coupling_db`` in dBm and its
+    linear value in mW, and is filled on first use.  The medium
+    subscribes to its coupling model and drops entries whenever the
+    model is invalidated (see :class:`CouplingModel`), so the table is
+    exactly as fresh as the model's own values.
 
     All frames ever transmitted are appended to :attr:`history`, which
     the measurement models and analyses consume.
@@ -277,12 +322,16 @@ class Medium:
         self._sim = sim
         self._coupling = coupling
         self._budget = budget
+        self._noise_mw = db_to_linear_scalar(budget.noise_floor_dbm())
         self._active: List[_ActiveTransmission] = []
         self._stations: Dict[str, Station] = {}
         self._idle_waiters: List[Tuple[Station, Callable[[], None]]] = []
         # Virtual carrier sensing: per-station NAV expiry times set by
         # decoded RTS/CTS duration fields.
         self._nav_expiry: Dict[str, float] = {}
+        # (tx name, rx name, wide) -> (received dBm, received mW).
+        self._powers: Dict[Tuple[str, str, bool], Tuple[float, float]] = {}
+        coupling.subscribe(self._drop_powers)
         self.history: List[FrameRecord] = []
         self._capture_history = capture_history
 
@@ -306,9 +355,29 @@ class Medium:
 
     # -- power bookkeeping ---------------------------------------------
 
-    def _rx_power_dbm(self, tx: Station, rx: Station, kind: FrameKind) -> float:
-        control = kind.uses_wide_pattern()
-        return tx.tx_power_for(kind) + self._coupling.coupling_db(tx, rx, control)
+    def _received(self, tx: Station, rx: Station, wide: bool) -> Tuple[float, float]:
+        """(dBm, mW) that ``rx`` receives from a ``tx`` frame of one
+        pattern class, from the table (filled on a miss)."""
+        key = (tx.name, rx.name, wide)
+        entry = self._powers.get(key)
+        if entry is None:
+            kind = FrameKind.BEACON if wide else FrameKind.DATA
+            dbm = tx.tx_power_for(kind) + self._coupling.coupling_db(tx, rx, wide)
+            entry = self._powers[key] = (dbm, db_to_linear_scalar(dbm))
+        return entry
+
+    def _drop_powers(self, station_names: Tuple[str, ...]) -> None:
+        """Coupling invalidation hook: forget entries involving the
+        named stations (every entry when no names are given)."""
+        if not station_names:
+            self._powers.clear()
+            return
+        stale = [
+            key for key in self._powers
+            if key[0] in station_names or key[1] in station_names
+        ]
+        for key in stale:
+            del self._powers[key]
 
     def sensed_power_dbm(self, station: Station) -> float:
         """Total in-band power the station currently detects (dBm)."""
@@ -316,8 +385,7 @@ class Medium:
         for act in self._active:
             if act.tx is station or act.tx.channel != station.channel:
                 continue
-            p = self._rx_power_dbm(act.tx, station, act.record.kind)
-            total_mw += db_to_linear_scalar(p)
+            total_mw += self._received(act.tx, station, act.wide)[1]
         return linear_to_db_scalar(total_mw)
 
     def channel_busy_for(self, station: Station) -> bool:
@@ -369,8 +437,9 @@ class Medium:
         """
         tx = self._stations[record.source]
         rx = self._stations.get(record.destination) if record.destination else None
-        signal = self._rx_power_dbm(tx, rx, record.kind) if rx is not None else None
-        act = _ActiveTransmission(record=record, tx=tx, rx=rx, signal_dbm=signal)
+        wide = _WIDE[record.kind]
+        signal = self._received(tx, rx, wide)[0] if rx is not None else None
+        act = _ActiveTransmission(record=record, tx=tx, rx=rx, signal_dbm=signal, wide=wide)
         if obs.STATE.metrics:
             obs.add("mac.medium.frames")
 
@@ -385,26 +454,24 @@ class Medium:
                 and other.rx is not tx
                 and other.rx.channel == tx.channel
             ):
-                p = self._rx_power_dbm(tx, other.rx, record.kind)
-                other.max_interference_mw = max(
-                    other.max_interference_mw, db_to_linear_scalar(p)
-                )
+                mw = self._received(tx, other.rx, wide)[1]
+                if mw > other.max_interference_mw:
+                    other.max_interference_mw = mw
             if (
                 rx is not None
                 and other.tx is not tx
                 and other.tx is not rx
                 and other.tx.channel == rx.channel
             ):
-                p = self._rx_power_dbm(other.tx, rx, other.record.kind)
-                act.max_interference_mw = max(
-                    act.max_interference_mw, db_to_linear_scalar(p)
-                )
+                mw = self._received(other.tx, rx, other.wide)[1]
+                if mw > act.max_interference_mw:
+                    act.max_interference_mw = mw
 
         self._active.append(act)
         if self._capture_history:
             self.history.append(record)
         if record.nav_duration_s > 0:
-            self._apply_nav(record, tx, rx)
+            self._apply_nav(record, tx, rx, wide)
 
         def finish() -> None:
             self._active.remove(act)
@@ -416,7 +483,9 @@ class Medium:
 
         self._sim.schedule(record.duration_s, finish)
 
-    def _apply_nav(self, record: FrameRecord, tx: Station, rx: Optional[Station]) -> None:
+    def _apply_nav(
+        self, record: FrameRecord, tx: Station, rx: Optional[Station], wide: bool
+    ) -> None:
         """Third parties that decode a reserving frame set their NAV.
 
         Decoding is approximated by an instantaneous power check
@@ -431,7 +500,7 @@ class Medium:
                 continue
             if station.channel != tx.channel:
                 continue
-            power = self._rx_power_dbm(tx, station, record.kind)
+            power = self._received(tx, station, wide)[0]
             if power >= NAV_DECODE_THRESHOLD_DBM:
                 self._nav_expiry[station.name] = max(
                     self._nav_expiry.get(station.name, 0.0), expiry
@@ -440,9 +509,8 @@ class Medium:
     def _evaluate_delivery(self, act: _ActiveTransmission) -> Optional[bool]:
         if act.rx is None or act.signal_dbm is None:
             return None
-        noise_mw = db_to_linear_scalar(self._budget.noise_floor_dbm())
         sinr_db = act.signal_dbm - linear_to_db_scalar(
-            noise_mw + act.max_interference_mw
+            self._noise_mw + act.max_interference_mw
         )
         mcs = mcs_by_index(act.record.mcs_index)
         fer = frame_error_probability(sinr_db, mcs)

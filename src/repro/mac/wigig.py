@@ -26,6 +26,7 @@ overhead and ~1 us per-MPDU sub-header, a single-MPDU frame lasts
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -67,11 +68,13 @@ def data_frame_duration_s(num_mpdus: int, mcs: MCS) -> float:
     return FRAME_OVERHEAD_S + num_mpdus * PER_MPDU_OVERHEAD_S + payload_time
 
 
+@functools.lru_cache(maxsize=None)
 def max_aggregation_for(mcs: MCS, max_frame_s: float = WIGIG_TIMING.max_data_frame_s) -> int:
     """Largest aggregate that keeps the frame within the duration cap.
 
     The 25 us ceiling observed in Figure 9 applies to the *duration*;
-    at lower MCSs each MPDU takes more air time, so fewer fit.
+    at lower MCSs each MPDU takes more air time, so fewer fit.  A pure
+    function of the frozen ``mcs``, memoised per MCS.
     """
     n = MAX_AGGREGATION
     while n > 1 and data_frame_duration_s(n, mcs) > max_frame_s:

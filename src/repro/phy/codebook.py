@@ -11,13 +11,20 @@ adaptation (Section 2, "Beam Steering").  A :class:`Codebook` bundles:
 
 Entries cache their computed :class:`~repro.phy.antenna.AntennaPattern`
 so repeated link-budget evaluations during a simulation stay cheap.
+Directional patterns are synthesised when the codebook is built (beam
+training scores every one of them); a quasi-omni pattern is synthesised
+on first access of its entry's :attr:`CodebookEntry.pattern`, because
+most runs only ever read entry 0 (the control pattern).  Synthesis is a
+pure function of the array and the entry's seed, so a lazy pattern is
+identical to an eager one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +33,20 @@ from repro.phy.antenna import AntennaPattern, PhasedArray
 
 @dataclass
 class CodebookEntry:
-    """One selectable beam: an identifier, its intent, and its pattern."""
+    """One selectable beam: an identifier, its intent, and its pattern.
+
+    ``synthesize`` computes the pattern; it runs on the first access of
+    :attr:`pattern` and its result is kept.
+    """
 
     index: int
     kind: str  # "directional" or "quasi_omni"
     steering_azimuth_rad: Optional[float]
-    pattern: AntennaPattern = field(repr=False)
+    synthesize: Callable[[], AntennaPattern] = field(repr=False)
+
+    @functools.cached_property
+    def pattern(self) -> AntennaPattern:
+        return self.synthesize()
 
     def peak_direction_rad(self) -> float:
         """Azimuth where the realized pattern actually peaks.
@@ -105,7 +120,8 @@ class Codebook:
         spanning the serviceable sector (centered on broadside).
         Quasi-omni entries use randomized subarray activations (see
         :meth:`PhasedArray.quasi_omni_pattern`), seeded per entry so the
-        sweep is deterministic for a given device.
+        sweep is deterministic for a given device; their patterns are
+        synthesised on first access, directional ones here.
         """
         if num_directional < 1:
             raise ValueError("need at least one directional entry")
@@ -121,17 +137,23 @@ class Codebook:
                 index=i,
                 kind="directional",
                 steering_azimuth_rad=float(az),
-                pattern=array.steered_pattern(float(az), points=pattern_points),
+                synthesize=functools.partial(
+                    array.steered_pattern, float(az), points=pattern_points
+                ),
             )
             for i, az in enumerate(azimuths)
         ]
+        for entry in directional:
+            entry.pattern  # eager: beam training scores every entry
         quasi_omni = [
             CodebookEntry(
                 index=i,
                 kind="quasi_omni",
                 steering_azimuth_rad=None,
-                pattern=array.quasi_omni_pattern(
-                    seed=quasi_omni_seed * 1000 + i, points=pattern_points
+                synthesize=functools.partial(
+                    array.quasi_omni_pattern,
+                    seed=quasi_omni_seed * 1000 + i,
+                    points=pattern_points,
                 ),
             )
             for i in range(num_quasi_omni)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.devices.air3c import make_air3c_transmitter
+from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
 from repro.phy.antenna import PhaseShifterModel, UniformRectangularArray
 from repro.phy.codebook import Codebook, boundary_degradation_report
 
@@ -97,3 +99,48 @@ class TestBoundaryReport:
         center = max(rows, key=lambda r: -abs(r["steering_deg"]))
         edge = max(rows, key=lambda r: abs(r["steering_deg"]))
         assert edge["peak_gain_dbi"] < center["peak_gain_dbi"]
+
+
+class TestLazyQuasiOmni:
+    """Quasi-omni patterns are synthesised on first access, and equal
+    the eager synthesis bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _counting(self):
+        from repro import obs
+
+        obs.disable()
+        obs.reset()
+        obs.enable(metrics=True)
+        yield
+        obs.disable()
+        obs.reset()
+
+    @staticmethod
+    def syntheses():
+        from repro import obs
+
+        return obs.metrics_snapshot()["counters"].get("phy.antenna.pattern_syntheses", 0)
+
+    @pytest.mark.parametrize(
+        "factory, unit_seed",
+        [(make_d5000_dock, 8), (make_e7440_laptop, 21), (make_air3c_transmitter, 2024)],
+        ids=["d5000", "e7440", "air3c"],
+    )
+    def test_lazy_entries_match_eager_and_count_only_accessed(self, factory, unit_seed):
+        device = factory(unit_seed=unit_seed)
+        directional = len(device.codebook.directional_entries)
+        entries = device.codebook.quasi_omni_entries
+        # Build synthesised every directional entry plus quasi-omni
+        # entry 0 (the device's control pattern), nothing else.
+        assert self.syntheses() == directional + 1
+
+        accessed = [0, 3, len(entries) - 1]
+        lazy = {i: entries[i].pattern for i in accessed}
+        assert entries[3].pattern is lazy[3]
+        assert self.syntheses() == directional + len(accessed)
+
+        for i, pattern in lazy.items():
+            eager = device.array.quasi_omni_pattern(seed=unit_seed * 1000 + i)
+            assert np.array_equal(pattern.azimuths, eager.azimuths)
+            assert np.array_equal(pattern.gains_dbi, eager.gains_dbi)
