@@ -229,7 +229,7 @@ def apply_power_control(
 ) -> Dict[str, float]:
     """Set every link's transmit power to the recommended minimum.
 
-    Mutates the transmitter devices and invalidates the coupling cache.
+    Mutates the transmitter devices and invalidates the coupling.
     Returns the chosen powers by transmitter name.
     """
     chosen: Dict[str, float] = {}

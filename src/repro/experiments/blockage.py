@@ -30,7 +30,7 @@ from repro.geometry.room import Room
 from repro.geometry.segments import Segment
 from repro.geometry.vec import Vec2
 from repro.mac.beam_training import SectorSweepTrainer
-from repro.phy.blockage import crossing_blocker
+from repro.phy.blockage import crossing_blocker, path_blockage_loss_db
 from repro.phy.channel import LinkBudget
 from repro.phy.mcs import select_mcs
 from repro.phy.raytracing import PropagationPath, RayTracer
@@ -62,8 +62,6 @@ def path_snr_db(
     budget: LinkBudget,
 ) -> float:
     """Multipath SNR with per-leg blockage losses applied."""
-    from repro.phy.blockage import path_blockage_loss_db
-
     contributions = []
     for path in paths:
         tx_gain = tx.tx_gain_dbi(path.points[0] + Vec2.unit(path.departure_angle_rad()))
@@ -186,29 +184,8 @@ class _BlockedTrainer(SectorSweepTrainer):
         super().__init__(budget=budget, tracer=tracer, rng=np.random.default_rng(seed))
         self._blocker_pos = blocker_pos
 
-    def _gain_pair_db(self, tx, tx_entry, rx, rx_entry):  # type: ignore[override]
-        from repro.phy.blockage import path_blockage_loss_db
-
-        if self.tracer is None:
-            return super()._gain_pair_db(tx, tx_entry, rx, rx_entry)
-        paths = self.tracer.trace(tx.position, rx.position)
-        if not paths:
-            return -300.0
-        contributions = []
-        for path in paths:
-            departure = tx.position + Vec2.unit(path.departure_angle_rad())
-            arrival = rx.position + Vec2.unit(path.arrival_angle_rad())
-            tx_gain = tx_entry.pattern.gain_dbi(
-                (departure - tx.position).angle() - tx.orientation_rad
-            )
-            rx_gain = rx_entry.pattern.gain_dbi(
-                (arrival - rx.position).angle() - rx.orientation_rad
-            )
-            loss = self.budget.propagation_loss_db(path.length_m())
-            loss += path.extra_loss_db()
-            for a, b in zip(path.points, path.points[1:]):
-                loss += path_blockage_loss_db(self._blocker_pos, a, b)
-            contributions.append(
-                tx_gain + rx_gain - loss - self.budget.implementation_loss_db
-            )
-        return power_sum_db(contributions)
+    def _extra_losses_db(self, path):
+        return [
+            path_blockage_loss_db(self._blocker_pos, a, b)
+            for a, b in zip(path.points, path.points[1:])
+        ]

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.devices.air3c import make_air3c_receiver, make_air3c_transmitter
 from repro.devices.base import RadioDevice
 from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
 from repro.geometry.vec import Vec2
 from repro.mac.coupling import DeviceCoupling
-from repro.mac.simulator import Medium, Simulator
+from repro.mac.simulator import Medium, Simulator, Station
 from repro.mac.tcp import IperfFlow, TcpParameters
 from repro.mac.wigig import WiGigLink
 from repro.mac.wihd import WiHDLink
@@ -58,6 +58,25 @@ class WiHDLinkSetup:
 
     def run(self, duration_s: float) -> None:
         self.sim.run_until(self.sim.now + duration_s)
+
+
+def wire_devices(
+    devices: Mapping[str, RadioDevice],
+    budget: LinkBudget,
+    seed: int,
+    tracer: Optional[RayTracer] = None,
+    capture_history: bool = True,
+) -> Tuple[Simulator, DeviceCoupling, Medium, Dict[str, Station]]:
+    """A simulator plus a medium whose coupling is backed by
+    ``devices``, with one station per device registered in the map's
+    order."""
+    sim = Simulator(seed=seed)
+    coupling = DeviceCoupling(devices, budget=budget, tracer=tracer)
+    medium = Medium(sim, coupling, budget=budget, capture_history=capture_history)
+    stations = {name: device.make_station() for name, device in devices.items()}
+    for station in stations.values():
+        medium.register(station)
+    return sim, coupling, medium, stations
 
 
 def train_pair(a: RadioDevice, b: RadioDevice, tracer: Optional[RayTracer] = None) -> None:
@@ -114,20 +133,14 @@ def build_wigig_link_setup(
     train_pair(dock, laptop, tracer)
 
     devices = {dock.name: dock, laptop.name: laptop}
-    sim = Simulator(seed=seed)
-    coupling = DeviceCoupling(devices, budget=budget, tracer=tracer)
-    medium = Medium(sim, coupling, budget=budget)
-    st_dock = dock.make_station()
-    st_laptop = laptop.make_station()
-    medium.register(st_dock)
-    medium.register(st_laptop)
+    sim, coupling, medium, stations = wire_devices(devices, budget, seed, tracer)
 
     snr = coupling.snr_db(laptop.name, dock.name)
     link = WiGigLink(
         sim,
         medium,
-        transmitter=st_laptop,
-        receiver=st_dock,
+        transmitter=stations[laptop.name],
+        receiver=stations[dock.name],
         snr_hint_db=snr,
         send_beacons=send_beacons,
     )
@@ -171,14 +184,13 @@ def build_wihd_link_setup(
     train_pair(tx, rx, tracer)
 
     devices = {tx.name: tx, rx.name: rx}
-    sim = Simulator(seed=seed)
-    coupling = DeviceCoupling(devices, budget=budget, tracer=tracer)
-    medium = Medium(sim, coupling, budget=budget)
-    st_tx = tx.make_station()
-    st_rx = rx.make_station()
-    medium.register(st_tx)
-    medium.register(st_rx)
-    link = WiHDLink(sim, medium, transmitter=st_tx, receiver=st_rx, video_rate_bps=video_rate_bps)
+    sim, coupling, medium, stations = wire_devices(devices, budget, seed, tracer)
+    link = WiHDLink(
+        sim, medium,
+        transmitter=stations[tx.name],
+        receiver=stations[rx.name],
+        video_rate_bps=video_rate_bps,
+    )
     return WiHDLinkSetup(
         sim=sim,
         medium=medium,

@@ -33,7 +33,7 @@ from repro.devices.air3c import make_air3c_receiver, make_air3c_transmitter
 from repro.devices.base import RadioDevice
 from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
 from repro.devices.vubiq import VubiqReceiver
-from repro.experiments.common import derive_seed, misalignment_70deg
+from repro.experiments.common import derive_seed, misalignment_70deg, wire_devices
 from repro.geometry.vec import Vec2
 from repro.mac.coupling import DeviceCoupling
 from repro.mac.frames import FrameKind, FrameRecord
@@ -139,13 +139,7 @@ def build_interference_scenario(
         devices[wihd_tx.name] = wihd_tx
         devices[wihd_rx.name] = wihd_rx
 
-    budget = LinkBudget()
-    sim = Simulator(seed=seed)
-    coupling = DeviceCoupling(devices, budget=budget)
-    medium = Medium(sim, coupling, budget=budget)
-    stations = {name: dev.make_station() for name, dev in devices.items()}
-    for st in stations.values():
-        medium.register(st)
+    sim, coupling, medium, stations = wire_devices(devices, LinkBudget(), seed)
 
     links = []
     flows = []

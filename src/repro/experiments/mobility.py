@@ -35,12 +35,12 @@ import numpy as np
 
 from repro.devices.base import RadioDevice
 from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
-from repro.experiments.common import derive_seed
+from repro.experiments.common import derive_seed, wire_devices
 from repro.experiments.range_vs_distance import wigig_goodput_bps
 from repro.geometry.vec import Vec2
 from repro.mac.beam_training import SectorSweepTrainer
 from repro.mac.coupling import DeviceCoupling
-from repro.mac.simulator import Medium, Simulator, Station
+from repro.mac.simulator import Medium, Simulator
 from repro.mac.tcp import IperfFlow, TcpParameters
 from repro.mac.wigig import WiGigLink
 from repro.mobility.handover import (
@@ -130,13 +130,8 @@ def build_vehicular_scenario(
         unit_seed=21,
     )
     devices = {rsu.name: rsu, vehicle.name: vehicle}
-    sim = Simulator(seed=seed)
-    coupling = DeviceCoupling(devices, budget=budget)
-    medium = Medium(sim, coupling, budget=budget)
-    st_rsu = rsu.make_station()
-    st_vehicle = vehicle.make_station()
-    medium.register(st_rsu)
-    medium.register(st_vehicle)
+    sim, coupling, medium, stations = wire_devices(devices, budget, seed)
+    st_rsu, st_vehicle = stations[rsu.name], stations[vehicle.name]
 
     trainer = SectorSweepTrainer(
         budget=budget, rng=np.random.default_rng(derive_seed(seed, "sls"))
@@ -299,15 +294,8 @@ def build_corridor_scenario(
         orientation_rad=-math.pi / 2.0,
         unit_seed=33,
     )
-    devices = dict(aps)
-    devices[client.name] = client
-    sim = Simulator(seed=seed)
-    coupling = DeviceCoupling(devices, budget=budget)
-    medium = Medium(sim, coupling, budget=budget)
-    stations: Dict[str, Station] = {}
-    for name, dev in sorted(devices.items()):
-        stations[name] = dev.make_station()
-        medium.register(stations[name])
+    devices = dict(sorted({**aps, client.name: client}.items()))
+    sim, coupling, medium, stations = wire_devices(devices, budget, seed)
 
     trainer = SectorSweepTrainer(
         budget=budget, rng=np.random.default_rng(derive_seed(seed, "sls"))

@@ -21,12 +21,12 @@ import numpy as np
 from repro.devices.air3c import make_air3c_receiver, make_air3c_transmitter
 from repro.devices.base import RadioDevice
 from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
+from repro.experiments.common import wire_devices
 from repro.geometry.room import Obstacle, Room
 from repro.geometry.segments import Segment
 from repro.geometry.materials import Material, get_material
 from repro.geometry.vec import Vec2
 from repro.mac.coupling import DeviceCoupling
-from repro.mac.simulator import Medium, Simulator
 from repro.mac.tcp import IperfFlow, TcpParameters
 from repro.mac.wigig import WiGigLink
 from repro.mac.wihd import WiHDLink
@@ -150,13 +150,9 @@ def run_reflection_interference(
     if not 0 < wihd_off_at_s < duration_s:
         raise ValueError("power-off instant must lie inside the run")
     devices, tracer = build_devices()
-    budget = LinkBudget()
-    sim = Simulator(seed=seed)
-    coupling = DeviceCoupling(devices, budget=budget, tracer=tracer)
-    medium = Medium(sim, coupling, budget=budget, capture_history=False)
-    stations = {name: dev.make_station() for name, dev in devices.items()}
-    for st in stations.values():
-        medium.register(st)
+    sim, coupling, medium, stations = wire_devices(
+        devices, LinkBudget(), seed, tracer, capture_history=False
+    )
 
     snr = coupling.snr_db("laptop", "dock")
     link = WiGigLink(

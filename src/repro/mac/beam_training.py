@@ -25,16 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.devices.base import RadioDevice
+from repro.mac.coupling import multipath_gain_db
 from repro.phy.channel import LinkBudget
 from repro.phy.codebook import CodebookEntry
 from repro.phy.mcs import CONTROL_MCS
-from repro.phy.raytracing import RayTracer
+from repro.phy.raytracing import PropagationPath, RayTracer
 from repro.geometry.vec import Vec2
 
 #: On-air duration of one SSW frame at the control PHY (~26 bytes at
@@ -126,8 +127,8 @@ class SectorSweepTrainer:
         rx: RadioDevice,
         rx_entry: CodebookEntry,
     ) -> float:
-        """Coupling (dB) for an explicit TX/RX pattern pair."""
-        from repro.analysis.dbmath import power_sum_db
+        """Coupling (dB) for an explicit TX/RX pattern pair; -300 dB
+        when no propagation path exists."""
 
         def tx_gain(toward: Vec2) -> float:
             return tx_entry.pattern.gain_dbi(
@@ -139,28 +140,15 @@ class SectorSweepTrainer:
                 (toward - rx.position).angle() - rx.orientation_rad
             )
 
-        if self.tracer is None:
-            distance = tx.position.distance_to(rx.position)
-            return (
-                tx_gain(rx.position)
-                + rx_gain(tx.position)
-                - self.budget.propagation_loss_db(distance)
-                - self.budget.implementation_loss_db
-            )
-        paths = self.tracer.trace(tx.position, rx.position)
-        if not paths:
-            return -300.0
-        contributions = []
-        for path in paths:
-            departure = tx.position + Vec2.unit(path.departure_angle_rad())
-            arrival = rx.position + Vec2.unit(path.arrival_angle_rad())
-            loss = self.budget.propagation_loss_db(path.length_m())
-            loss += path.extra_loss_db()
-            contributions.append(
-                tx_gain(departure) + rx_gain(arrival) - loss
-                - self.budget.implementation_loss_db
-            )
-        return power_sum_db(contributions)
+        total = multipath_gain_db(
+            tx.position, rx.position, tx_gain, rx_gain,
+            self.budget, self.tracer, self._extra_losses_db,
+        )
+        return -300.0 if total is None else total
+
+    def _extra_losses_db(self, path: PropagationPath) -> Iterable[float]:
+        """Per-path losses beyond the path's own walls; none here."""
+        return ()
 
     def _snr_db(
         self,

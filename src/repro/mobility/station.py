@@ -6,8 +6,9 @@ one.  :class:`MobileStation` closes that gap: between MAC events it
 
 1. advances the device along a :class:`~repro.mobility.trajectory.Trajectory`,
 2. mirrors the new pose into the registered :class:`Station` and
-   invalidates the coupling cache for that device (so the very next
-   frame is judged against the new geometry), and
+   invalidates the coupling for that device (so the medium's
+   received-power table judges the very next frame against the new
+   geometry), and
 3. decides whether the beams are stale — periodically, when the SNR
    has dropped a threshold below its value at the last training, or
    when the pointing error exceeds a beamwidth-scaled misalignment

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 #: Keys that hold measured wall time — excluded from every determinism
 #: digest (they vary run to run; the counts around them must not).
 TIME_FIELDS = frozenset(
-    {"total_ns", "total_us", "total_ms", "self_us", "self_ms", "mean_us", "max_us"}
+    {"total_ns", "total_us", "total_ms", "self_us", "self_ms", "mean_us"}
 )
 
 #: Tolerance (microseconds) when deciding span nesting from float

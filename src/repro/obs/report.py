@@ -3,9 +3,10 @@
 ``repro obs report <run-dir>`` reads the run manifest (any supported
 schema version) and, when present, the trace-event file, and renders
 the metrics section plus a per-span-name aggregation (count / total /
-mean / max) — the quick look you take before opening the full
-timeline in Perfetto.  ``--json`` emits the same data as a
-byte-deterministic machine-readable document instead of the table.
+mean / self time, from :func:`repro.obs.prof.span_aggregate`) — the
+quick look you take before opening the full timeline in Perfetto.
+``--json`` emits the same data as a byte-deterministic
+machine-readable document instead of the table.
 
 Dropped spans are surfaced loudly: when the
 :class:`~repro.obs.trace.TraceBuffer` overflowed, every aggregate
@@ -19,6 +20,7 @@ import pathlib
 from typing import Dict, List, Optional, Union
 
 from repro.obs.export import TRACE_FILENAME, read_trace
+from repro.obs.prof import span_aggregate
 
 PathLike = Union[str, pathlib.Path]
 
@@ -34,32 +36,20 @@ def dropped_span_count(trace_doc: Optional[Dict]) -> int:
     return total
 
 
-def aggregate_spans(doc: Dict) -> List[Dict]:
-    """Aggregate complete events by span name, slowest-total first."""
-    stats: Dict[str, Dict] = {}
-    for event in doc.get("traceEvents", []):
-        if event.get("ph") != "X":
-            continue
-        entry = stats.setdefault(
-            event["name"], {"count": 0, "total_us": 0.0, "max_us": 0.0}
-        )
-        dur = float(event.get("dur", 0.0))
-        entry["count"] += 1
-        entry["total_us"] += dur
-        entry["max_us"] = max(entry["max_us"], dur)
-    rows = []
-    for name in sorted(stats, key=lambda n: -stats[n]["total_us"]):
-        entry = stats[name]
-        rows.append(
-            {
-                "name": name,
-                "count": entry["count"],
-                "total_ms": entry["total_us"] / 1e3,
-                "mean_us": entry["total_us"] / entry["count"],
-                "max_us": entry["max_us"],
-            }
-        )
-    return rows
+def _span_rows(trace_doc: Dict) -> List[Dict]:
+    """Per-span-name rows from :func:`~repro.obs.prof.span_aggregate`,
+    slowest total first."""
+    stats = span_aggregate(trace_doc.get("traceEvents", []))
+    return [
+        {
+            "name": name,
+            "count": entry["count"],
+            "total_ms": entry["total_us"] / 1e3,
+            "mean_us": entry["total_us"] / entry["count"],
+            "self_ms": entry["self_us"] / 1e3,
+        }
+        for name, entry in sorted(stats.items(), key=lambda item: -item[1]["total_us"])
+    ]
 
 
 def _format_value(value: float) -> str:
@@ -104,13 +94,13 @@ def render_report(manifest: Dict, trace_doc: Optional[Dict]) -> str:
     ]
     lines.extend(render_metrics(manifest.get("metrics")))
     if trace_doc is not None:
-        rows = aggregate_spans(trace_doc)
+        rows = _span_rows(trace_doc)
         lines.append("spans:")
         if not rows:
             lines.append("  (trace file contains no spans)")
         header = (
             f"  {'name':<32} {'count':>8} {'total ms':>10} "
-            f"{'mean us':>10} {'max us':>10}"
+            f"{'mean us':>10} {'self ms':>10}"
         )
         if rows:
             lines.append(header)
@@ -118,7 +108,7 @@ def render_report(manifest: Dict, trace_doc: Optional[Dict]) -> str:
             lines.append(
                 f"  {row['name']:<32} {row['count']:>8,} "
                 f"{row['total_ms']:>10.2f} {row['mean_us']:>10.1f} "
-                f"{row['max_us']:>10.1f}"
+                f"{row['self_ms']:>10.2f}"
             )
     else:
         lines.append("spans: (no trace.json in run directory)")
@@ -156,7 +146,7 @@ def report_doc(manifest: Dict, trace_doc: Optional[Dict]) -> Dict:
         "des": manifest.get("des"),
         "metrics": manifest.get("metrics"),
         "profile": manifest.get("profile"),
-        "spans": aggregate_spans(trace_doc) if trace_doc is not None else None,
+        "spans": _span_rows(trace_doc) if trace_doc is not None else None,
         "dropped_spans": dropped_span_count(trace_doc),
     }
 
@@ -181,7 +171,6 @@ def report_run(run_dir: PathLike, as_json: bool = False) -> str:
 
 
 __all__ = [
-    "aggregate_spans",
     "dropped_span_count",
     "render_metrics",
     "render_report",

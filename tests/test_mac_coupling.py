@@ -10,6 +10,7 @@ from repro.geometry.room import Room
 from repro.geometry.segments import Segment
 from repro.geometry.vec import Vec2
 from repro.mac.coupling import DeviceCoupling
+from repro.mac.simulator import Medium, Simulator
 from repro.phy.channel import LinkBudget
 from repro.phy.raytracing import RayTracer
 
@@ -87,11 +88,12 @@ class TestFreeSpaceMode:
         assert snr == pytest.approx(manual)
 
 
-class TestPerDeviceInvalidation:
-    """Retraining one pair must not evict unrelated pairs' couplings."""
+class TestMediumTableInvalidation:
+    """The medium's received-power table is the only coupling cache;
+    invalidating one pair must not evict unrelated pairs' entries."""
 
     @pytest.fixture()
-    def two_pairs(self):
+    def wired(self):
         devices = {}
         for i in (0, 1):
             dock = make_d5000_dock(
@@ -107,41 +109,55 @@ class TestPerDeviceInvalidation:
             laptop.train_toward(dock.position)
             devices[dock.name] = dock
             devices[laptop.name] = laptop
-        return devices
+        medium = Medium(Simulator(seed=0), DeviceCoupling(devices))
+        for device in devices.values():
+            medium.register(device.make_station())
+        return medium, devices
 
-    def test_unrelated_pair_keeps_cached_coupling(self, two_pairs):
-        coupling = DeviceCoupling(two_pairs)
-        st = stations_of(*two_pairs.values())
-        coupling.coupling_db(st["laptop-0"], st["dock-0"])
-        pair1_before = coupling.coupling_db(st["laptop-1"], st["dock-1"])
-        assert coupling.cached_pair_count == 2
+    @staticmethod
+    def fill(medium, *keys):
+        for tx, rx, wide in keys:
+            medium._received(medium.station(tx), medium.station(rx), wide)
 
-        # Retrain BOTH pairs' laptops away, but only invalidate pair 0:
-        # pair 1 must keep serving its cached (now stale) coupling —
-        # proof the entry survived the invalidation.
-        two_pairs["laptop-0"].train_toward(Vec2(3, -50))
-        two_pairs["laptop-1"].train_toward(Vec2(3, -50))
-        coupling.invalidate("laptop-0", "dock-0")
-        assert coupling.cached_pair_count == 1
-        pair0_after = coupling.coupling_db(st["laptop-0"], st["dock-0"])
-        assert pair0_after < coupling.coupling_db(st["laptop-1"], st["dock-1"]) - 10.0
-        assert coupling.coupling_db(st["laptop-1"], st["dock-1"]) == pair1_before
+    def test_named_invalidation_keeps_unrelated_pairs(self, wired):
+        medium, devices = wired
+        self.fill(medium, ("laptop-0", "dock-0", False), ("laptop-1", "dock-1", False))
+        pair1_before = medium._powers[("laptop-1", "dock-1", False)]
 
-        # A full invalidation finally recomputes pair 1 too.
-        coupling.invalidate()
-        assert coupling.cached_pair_count == 0
-        assert coupling.coupling_db(st["laptop-1"], st["dock-1"]) < pair1_before
+        # Retrain BOTH laptops away, but only invalidate pair 0: pair 1
+        # keeps its (now stale) entry — proof it survived.
+        devices["laptop-0"].train_toward(Vec2(3, -50))
+        devices["laptop-1"].train_toward(Vec2(3, -50))
+        medium.coupling.invalidate("laptop-0", "dock-0")
+        assert set(medium._powers) == {("laptop-1", "dock-1", False)}
+        self.fill(medium, ("laptop-0", "dock-0", False), ("laptop-1", "dock-1", False))
+        pair0_after = medium._powers[("laptop-0", "dock-0", False)]
+        assert pair0_after[0] < pair1_before[0] - 10.0
+        assert medium._powers[("laptop-1", "dock-1", False)] == pair1_before
 
-    def test_invalidate_drops_entries_in_both_directions(self, two_pairs):
-        coupling = DeviceCoupling(two_pairs)
-        st = stations_of(*two_pairs.values())
-        coupling.coupling_db(st["laptop-0"], st["dock-0"])
-        coupling.coupling_db(st["dock-0"], st["laptop-0"])
-        coupling.coupling_db(st["laptop-0"], st["dock-0"], control=True)
-        coupling.coupling_db(st["laptop-1"], st["dock-1"])
-        assert coupling.cached_pair_count == 4
-        coupling.invalidate("dock-0")
-        assert coupling.cached_pair_count == 1
+    def test_invalidation_drops_both_directions_and_pattern_classes(self, wired):
+        medium, _ = wired
+        self.fill(
+            medium,
+            ("laptop-0", "dock-0", False),
+            ("dock-0", "laptop-0", False),
+            ("laptop-0", "dock-0", True),
+            ("dock-0", "laptop-0", True),
+            ("laptop-1", "dock-0", False),
+            ("laptop-0", "laptop-1", True),
+            ("laptop-1", "dock-1", False),
+        )
+        medium.coupling.invalidate("dock-0")
+        assert set(medium._powers) == {
+            ("laptop-0", "laptop-1", True),
+            ("laptop-1", "dock-1", False),
+        }
+
+    def test_invalidate_without_names_clears_the_table(self, wired):
+        medium, _ = wired
+        self.fill(medium, ("laptop-0", "dock-0", False), ("laptop-1", "dock-1", True))
+        medium.coupling.invalidate()
+        assert medium._powers == {}
 
 
 class TestRayTracedMode:

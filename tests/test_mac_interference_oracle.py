@@ -9,7 +9,8 @@ interferers' received mW on each piece, and takes the worst piece.
 ``Medium`` keeps the strongest single interferer instead of the sum
 (ROADMAP item 2), so the two agree only while at most one interferer
 overlaps a frame.  The strict xfail below pins the known defect; the
-change that sums interference flips it.
+change that sums interference flips it.  Under either model, adding an
+interferer can only lower a frame's SINR.
 """
 
 import pytest
@@ -107,17 +108,15 @@ interferer = st.tuples(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(victim, min_size=1, max_size=8),
-    st.lists(interferer, max_size=10),
-    st.lists(st.floats(min_value=-110.0, max_value=-40.0), min_size=4, max_size=4),
-)
-def test_oracle_matches_medium_with_one_interferer(victims, others, gains):
-    names = ("a", "b", "c", "d", "e")
+gains = st.lists(st.floats(min_value=-110.0, max_value=-40.0), min_size=4, max_size=4)
+NAMES = ("a", "b", "c", "d", "e")
+
+
+def scenario(victims, others, gains):
+    """A medium plus victim frames a -> b (first) and interferer frames."""
     table = {("a", "b"): gains[0], ("c", "b"): gains[1], ("d", "b"): gains[2],
              ("e", "b"): gains[3]}
-    sim, medium = build(names, table)
+    sim, medium = build(NAMES, table)
     frames = [
         FrameRecord(start * US, length * US, "a", "b", FrameKind.DATA, mcs_index=4)
         for start, length in victims
@@ -126,12 +125,52 @@ def test_oracle_matches_medium_with_one_interferer(victims, others, gains):
         dst = "" if dst == src else dst
         kind = FrameKind.BEACON if dst == "" else FrameKind.DATA
         frames.append(FrameRecord((start + 0.5) * US, length * US, src, dst, kind))
+    return sim, medium, frames
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(victim, min_size=1, max_size=8), st.lists(interferer, max_size=10), gains)
+def test_oracle_matches_medium_with_one_interferer(victims, others, gains):
+    sim, medium, frames = scenario(victims, others, gains)
     seen = spy_sinrs(medium)
     play(sim, medium, frames)
     for frame in frames[: len(victims)]:
         if len(interferers(medium, frame)) <= 1:
             assert seen[id(frame)] == oracle_worst_sinr_db(medium, frame)
+
+
+#: An interferer placed inside one victim's airtime: (source,
+#: destination, victim index, start offset, length), all in whole us.
+extra_interferer = st.tuples(
+    st.sampled_from(("c", "d", "e")),
+    st.sampled_from(("", "c", "d", "e")),
+    st.integers(0, 7),
+    st.integers(0, 29),
+    st.integers(1, 30),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(victim, min_size=1, max_size=8),
+    st.lists(interferer, max_size=10),
+    extra_interferer,
+    gains,
+)
+def test_adding_an_interferer_never_raises_sinr(victims, others, extra, gains):
+    # Holds whether concurrent interferers combine by max or by sum.
+    def victim_sinrs(interferer_frames):
+        sim, medium, frames = scenario(victims, interferer_frames, gains)
+        seen = spy_sinrs(medium)
+        play(sim, medium, frames)
+        return [seen[id(frame)] for frame in frames[: len(victims)]]
+
+    src, dst, index, offset, length = extra
+    start, victim_length = victims[index % len(victims)]
+    hit = (src, dst, start + offset % victim_length, length)
+    before = victim_sinrs(others)
+    after = victim_sinrs(others + [hit])
+    assert all(a <= b for a, b in zip(after, before))
 
 
 def test_oracle_matches_medium_on_a_single_collision():

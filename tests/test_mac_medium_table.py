@@ -101,11 +101,6 @@ def test_table_tracks_device_coupling_invalidation(ops):
     for station in stations:
         medium.register(station)
 
-    def fresh(tx, rx, wide):
-        # A new model has no cache: its value is computed from the
-        # devices' current poses and beams.
-        return DeviceCoupling(by_name).coupling_db(tx, rx, wide)
-
     for op in ops:
         if op[0] == "move":
             _, i, dx, dy = op
@@ -120,7 +115,9 @@ def test_table_tracks_device_coupling_invalidation(ops):
                 coupling.invalidate(NAMES[i], NAMES[peer])
         else:
             apply_medium_op(op, sim, medium, stations)
-        assert_table_fresh(medium, fresh)
+        # The model caches nothing: its values follow the devices'
+        # current poses and beams.
+        assert_table_fresh(medium, coupling.coupling_db)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,7 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.report import aggregate_spans, render_report
+from repro.obs.report import render_report, report_doc
 from repro.obs.trace import NOOP_SPAN, TraceBuffer, complete_event
 
 
@@ -224,10 +224,15 @@ class TestReport:
                 complete_event("d.e.f", 0, 10000),
             ]
         )
-        rows = aggregate_spans(doc)
+        # All three start together, so they nest: d.e.f (10 us) holds
+        # the 3 us a.b.c, which holds the 1 us one.
+        rows = report_doc({}, doc)["spans"]
         assert [r["name"] for r in rows] == ["d.e.f", "a.b.c"]
         assert rows[1]["count"] == 2
-        assert rows[1]["max_us"] == 3.0
+        assert rows[1]["total_ms"] == 0.004
+        assert rows[1]["mean_us"] == 2.0
+        assert rows[1]["self_ms"] == 0.003
+        assert rows[0]["self_ms"] == 0.007
 
     def test_render_report_includes_metrics_and_spans(self):
         manifest = {
