@@ -15,7 +15,11 @@ Section 5 derives two design principles this module operationalizes:
 
 The tools operate on :class:`~repro.devices.base.RadioDevice` objects
 plus a :class:`~repro.mac.coupling.DeviceCoupling`, so they account for
-everything the library models.
+everything the library models.  Margins (through the coupling) and
+:func:`coverage_map` (directly) both reach received power through
+:func:`repro.phy.raytracing.multipath_gain_db`, the one kernel that
+the coupling, both beam trainers, the Vubiq receiver and the blockage
+SNR also call.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.devices.base import RadioDevice
 from repro.geometry.vec import Vec2
 from repro.mac.coupling import DeviceCoupling
 from repro.phy.channel import LinkBudget
+from repro.phy.raytracing import multipath_gain_db
 
 #: Default SINR headroom (dB) a victim needs over an aggressor for the
 #: links to count as non-conflicting: top-MCS threshold (16) plus the
@@ -147,9 +152,10 @@ def coverage_map(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SNR (dB) a probe receiver would see on a grid of positions.
 
-    Uses the device's *current* active beam, an isotropic probe, and —
-    when a tracer is given — all propagation paths.  Returns
-    ``(xs, ys, snr)`` where ``snr[j, i]`` corresponds to
+    Uses the device's *current* active beam and transmit power, an
+    isotropic probe, and — when a tracer is given — all propagation
+    paths, summed by :func:`~repro.phy.raytracing.multipath_gain_db`.
+    Returns ``(xs, ys, snr)`` where ``snr[j, i]`` corresponds to
     ``(xs[i], ys[j])``.
 
     Positions co-located with the device (within half a grid cell) get
@@ -161,36 +167,20 @@ def coverage_map(
     xs = np.arange(x0, x1 + resolution_m / 2, resolution_m)
     ys = np.arange(y0, y1 + resolution_m / 2, resolution_m)
     snr = np.full((ys.size, xs.size), -math.inf)
-    from repro.analysis.dbmath import power_sum_db
-
+    noise = coupling_budget.noise_floor_dbm()
     for j, y in enumerate(ys):
         for i, x in enumerate(xs):
             probe = Vec2(float(x), float(y))
-            distance = device.position.distance_to(probe)
-            if distance < resolution_m / 2:
+            if device.position.distance_to(probe) < resolution_m / 2:
                 snr[j, i] = math.inf
                 continue
-            if tracer is None:
-                rx = coupling_budget.received_power_dbm(
-                    distance, device.tx_gain_dbi(probe), 0.0
-                )
-                snr[j, i] = rx - coupling_budget.noise_floor_dbm()
-                continue
-            paths = tracer.trace(device.position, probe)
-            if not paths:
-                continue
-            contributions = []
-            for path in paths:
-                departure = device.position + Vec2.unit(path.departure_angle_rad())
-                loss = coupling_budget.propagation_loss_db(path.length_m())
-                loss += path.extra_loss_db()
-                contributions.append(
-                    coupling_budget.tx_power_dbm
-                    + device.tx_gain_dbi(departure)
-                    - loss
-                    - coupling_budget.implementation_loss_db
-                )
-            snr[j, i] = power_sum_db(contributions) - coupling_budget.noise_floor_dbm()
+            paths = None if tracer is None else tracer.trace(device.position, probe)
+            rx = multipath_gain_db(
+                device.position, probe, device.tx_gain_dbi, lambda toward: 0.0,
+                coupling_budget, paths, tx_power_dbm=device.tx_power_dbm,
+            )
+            if rx is not None:
+                snr[j, i] = rx - noise
     return xs, ys, snr
 
 

@@ -13,11 +13,15 @@ measurements) or the open waveguide (wide pattern, protocol analysis).
 orientation would see — accounting for each transmitter's per-frame
 antenna pattern (including the 32 quasi-omni sub-elements of a
 discovery frame) and, when a ray tracer is supplied, for every
-reflected path — and renders it into a sampled :class:`Trace`.
+reflected path — and renders it into a sampled :class:`Trace`.  The
+received power is :func:`repro.phy.raytracing.multipath_gain_db`, the
+same per-path sum the MAC coupling, the beam trainers, the coverage map
+and the blockage SNR use, with the frame's transmit power inside it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Mapping, Optional
 
 import numpy as np
@@ -27,7 +31,7 @@ from repro.geometry.vec import Vec2
 from repro.mac.frames import DISCOVERY_SUBELEMENTS, FrameKind, FrameRecord
 from repro.phy.antenna import HornAntenna, standard_horn_25dbi
 from repro.phy.channel import LinkBudget
-from repro.phy.raytracing import RayTracer
+from repro.phy.raytracing import RayTracer, multipath_gain_db
 from repro.phy.signal import (
     DEFAULT_SAMPLE_RATE_HZ,
     Emission,
@@ -35,7 +39,6 @@ from repro.phy.signal import (
     received_amplitude_v,
     synthesize_trace,
 )
-from repro.analysis.dbmath import power_sum_db
 
 #: Received power below this is indistinguishable from the noise floor
 #: and not rendered as an emission.
@@ -76,9 +79,12 @@ class VubiqReceiver:
 
     # -- power computation ------------------------------------------------
 
-    def _horn_gain_dbi(self, arrival_bearing_rad: float) -> float:
-        """Horn gain for energy arriving from a global bearing."""
-        return self.antenna.gain_toward(arrival_bearing_rad - self.boresight_rad)
+    def _horn_gain_dbi(self, toward: Vec2) -> float:
+        """Horn gain for energy arriving from a global position (the
+        bearing is read without a Vec2: this runs once per traced path)."""
+        here = self.position
+        bearing = math.atan2(toward.y - here.y, toward.x - here.x)
+        return self.antenna.gain_toward(bearing - self.boresight_rad)
 
     def received_power_dbm(
         self,
@@ -89,27 +95,17 @@ class VubiqReceiver:
         """Power received from a device transmitting a frame kind.
 
         With a ray tracer, powers of all resolvable paths add; without
-        one, the free-space LOS path is used.
+        one, the free-space LOS path is used; no path gives -300 dBm.
         """
-        tx_power = device.tx_power_for(kind)
-        if self.tracer is None:
-            distance = device.position.distance_to(self.position)
-            tx_gain = device.tx_gain_dbi(self.position, kind, subelement)
-            rx_gain = self._horn_gain_dbi((device.position - self.position).angle())
-            power = self.budget.received_power_dbm(distance, tx_gain, rx_gain)
-            return power + (tx_power - self.budget.tx_power_dbm) + self.extra_gain_db
-        paths = self.tracer.trace(device.position, self.position)
-        if not paths:
-            return -300.0
-        contributions = []
-        for path in paths:
-            # TX gain at the departure angle of this specific path.
-            departure = device.position + Vec2.unit(path.departure_angle_rad())
-            tx_gain = device.tx_gain_dbi(departure, kind, subelement)
-            rx_gain = self._horn_gain_dbi(path.arrival_angle_rad())
-            power = path.received_power_dbm(self.budget, tx_gain, rx_gain)
-            contributions.append(power + (tx_power - self.budget.tx_power_dbm))
-        return power_sum_db(contributions) + self.extra_gain_db
+        tracer = self.tracer
+        paths = None if tracer is None else tracer.trace(device.position, self.position)
+        power = multipath_gain_db(
+            device.position, self.position,
+            lambda toward: device.tx_gain_dbi(toward, kind, subelement),
+            self._horn_gain_dbi, self.budget, paths,
+            tx_power_dbm=device.tx_power_for(kind),
+        )
+        return -300.0 if power is None else power + self.extra_gain_db
 
     # -- trace generation ------------------------------------------------
 

@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.dbmath import power_sum_db
 from repro.devices.base import RadioDevice
 from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
 from repro.geometry.materials import Material
@@ -33,7 +32,7 @@ from repro.mac.beam_training import SectorSweepTrainer
 from repro.phy.blockage import crossing_blocker, path_blockage_loss_db
 from repro.phy.channel import LinkBudget
 from repro.phy.mcs import select_mcs
-from repro.phy.raytracing import PropagationPath, RayTracer
+from repro.phy.raytracing import PropagationPath, RayTracer, multipath_gain_db
 
 #: Geometry: a 3 m link parallel to a reflecting wall 1.2 m away —
 #: close to the Figure 5 arrangement, with room for a pedestrian.
@@ -54,6 +53,14 @@ def build_room(with_wall: bool = True) -> Room:
     return Room([wall])
 
 
+def blocker_leg_losses_db(blocker_pos: Vec2, path: PropagationPath) -> List[float]:
+    """A blocker's penetration loss on each leg of a path, TX side first."""
+    return [
+        path_blockage_loss_db(blocker_pos, a, b)
+        for a, b in zip(path.points, path.points[1:])
+    ]
+
+
 def path_snr_db(
     tx: RadioDevice,
     rx: RadioDevice,
@@ -61,21 +68,14 @@ def path_snr_db(
     blocker_pos: Optional[Vec2],
     budget: LinkBudget,
 ) -> float:
-    """Multipath SNR with per-leg blockage losses applied."""
-    contributions = []
-    for path in paths:
-        tx_gain = tx.tx_gain_dbi(path.points[0] + Vec2.unit(path.departure_angle_rad()))
-        rx_gain = rx.tx_gain_dbi(path.points[-1] + Vec2.unit(path.arrival_angle_rad()))
-        loss = budget.propagation_loss_db(path.length_m()) + path.extra_loss_db()
-        if blocker_pos is not None:
-            for a, b in zip(path.points, path.points[1:]):
-                loss += path_blockage_loss_db(blocker_pos, a, b)
-        contributions.append(
-            tx.tx_power_dbm + tx_gain + rx_gain - loss - budget.implementation_loss_db
-        )
-    if not contributions:
-        return -300.0
-    return power_sum_db(contributions) - budget.noise_floor_dbm()
+    """Multipath SNR with per-leg blockage losses applied; -300 dB when
+    no path exists."""
+    power = multipath_gain_db(
+        tx.position, rx.position, tx.tx_gain_dbi, rx.tx_gain_dbi, budget, paths,
+        None if blocker_pos is None else lambda path: blocker_leg_losses_db(blocker_pos, path),
+        tx_power_dbm=tx.tx_power_dbm,
+    )
+    return -300.0 if power is None else power - budget.noise_floor_dbm()
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,4 @@ class _BlockedTrainer(SectorSweepTrainer):
         self._blocker_pos = blocker_pos
 
     def _extra_losses_db(self, path):
-        return [
-            path_blockage_loss_db(self._blocker_pos, a, b)
-            for a, b in zip(path.points, path.points[1:])
-        ]
+        return blocker_leg_losses_db(self._blocker_pos, path)

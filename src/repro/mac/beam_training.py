@@ -31,11 +31,10 @@ import numpy as np
 
 from repro import obs
 from repro.devices.base import RadioDevice
-from repro.mac.coupling import multipath_gain_db
 from repro.phy.channel import LinkBudget
 from repro.phy.codebook import CodebookEntry
 from repro.phy.mcs import CONTROL_MCS
-from repro.phy.raytracing import PropagationPath, RayTracer
+from repro.phy.raytracing import PropagationPath, RayTracer, multipath_gain_db
 from repro.geometry.vec import Vec2
 
 #: On-air duration of one SSW frame at the control PHY (~26 bytes at
@@ -140,9 +139,10 @@ class SectorSweepTrainer:
                 (toward - rx.position).angle() - rx.orientation_rad
             )
 
+        paths = None if self.tracer is None else self.tracer.trace(tx.position, rx.position)
         total = multipath_gain_db(
             tx.position, rx.position, tx_gain, rx_gain,
-            self.budget, self.tracer, self._extra_losses_db,
+            self.budget, paths, self._extra_losses_db,
         )
         return -300.0 if total is None else total
 

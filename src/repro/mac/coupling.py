@@ -7,9 +7,10 @@ beams, control patterns, and positions — optionally through a
 reflections shape the MAC-level interference, as in the reflection-
 interference experiment (Figure 7/23).
 
-:func:`multipath_gain_db` is the one place that sums a transmit
-pattern and a receive pattern over the LOS and reflected paths; the
-coupling model and the beam trainers all call it.
+The sum of a transmit pattern and a receive pattern over the LOS and
+reflected paths is :func:`repro.phy.raytracing.multipath_gain_db`, the
+one received-power kernel; this model, both beam trainers, the Vubiq
+receiver, the coverage map and the blockage SNR all call it.
 
 :class:`DeviceCoupling` caches nothing: every lookup reads the
 devices' current state.  The received-power table of each
@@ -20,61 +21,13 @@ cache, and :meth:`DeviceCoupling.invalidate` exists to refresh it
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
-from repro.analysis.dbmath import power_sum_db
 from repro.devices.base import RadioDevice
-from repro.geometry.vec import Vec2
 from repro.mac.frames import FrameKind
 from repro.mac.simulator import CouplingModel, Station
 from repro.phy.channel import LinkBudget
-from repro.phy.raytracing import PropagationPath, RayTracer
-
-
-def multipath_gain_db(
-    tx_position: Vec2,
-    rx_position: Vec2,
-    tx_gain: Callable[[Vec2], float],
-    rx_gain: Callable[[Vec2], float],
-    budget: LinkBudget,
-    tracer: Optional[RayTracer] = None,
-    extra_losses_db: Optional[Callable[[PropagationPath], Iterable[float]]] = None,
-) -> Optional[float]:
-    """Gain (dB) from a transmit pattern to a receive pattern.
-
-    ``tx_gain``/``rx_gain`` give each end's pattern gain (dBi) toward a
-    point.  Without a tracer the free-space LOS is used.  With one,
-    every traced path contributes its departure/arrival gains minus
-    its propagation, wall and implementation losses, and the
-    contributions are power-summed; ``None`` means no path exists.
-    ``extra_losses_db(path)`` adds further per-path losses (a blocker
-    on a leg), one at a time.
-    """
-    if tracer is None:
-        distance = tx_position.distance_to(rx_position)
-        return (
-            tx_gain(rx_position)
-            + rx_gain(tx_position)
-            - budget.propagation_loss_db(distance)
-            - budget.implementation_loss_db
-        )
-    paths = tracer.trace(tx_position, rx_position)
-    if not paths:
-        return None
-    contributions = []
-    for path in paths:
-        departure = tx_position + Vec2.unit(path.departure_angle_rad())
-        arrival = rx_position + Vec2.unit(path.arrival_angle_rad())
-        loss = budget.propagation_loss_db(path.length_m())
-        loss += path.extra_loss_db()
-        if extra_losses_db is not None:
-            for extra in extra_losses_db(path):
-                loss += extra
-        contributions.append(
-            tx_gain(departure) + rx_gain(arrival) - loss
-            - budget.implementation_loss_db
-        )
-    return power_sum_db(contributions)
+from repro.phy.raytracing import RayTracer, multipath_gain_db
 
 
 class DeviceCoupling(CouplingModel):
@@ -124,18 +77,18 @@ class DeviceCoupling(CouplingModel):
         super().invalidate(*device_names)
 
     def _compute(self, tx_dev: RadioDevice, rx_dev: RadioDevice, control: bool) -> float:
-        if self._tracer is None and tx_dev.position.distance_to(rx_dev.position) <= 0:
+        tracer = self._tracer
+        if tracer is None and tx_dev.position.distance_to(rx_dev.position) <= 0:
             raise ValueError("devices are co-located")
         kind = FrameKind.BEACON if control else FrameKind.DATA
+        paths = None if tracer is None else tracer.trace(tx_dev.position, rx_dev.position)
         total = multipath_gain_db(
-            tx_dev.position,
-            rx_dev.position,
+            tx_dev.position, rx_dev.position,
             lambda toward: tx_dev.tx_gain_dbi(toward, kind),
             lambda toward: rx_dev.tx_gain_dbi(toward, kind),
-            self._budget,
-            self._tracer,
+            self._budget, paths,
         )
-        if self._tracer is None or (total is not None and total > self._isolation):
+        if tracer is None or (total is not None and total > self._isolation):
             return total
         return self._isolation
 

@@ -22,10 +22,13 @@ the link evaluation combines with the antenna patterns at both ends.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.analysis.dbmath import power_sum_db
 from repro.geometry.room import Room
 from repro.geometry.segments import Segment
 from repro.geometry.vec import Vec2
@@ -92,6 +95,54 @@ class PropagationPath:
         return budget.received_power_dbm(
             self.length_m(), tx_gain_dbi, rx_gain_dbi, self.extra_loss_db()
         )
+
+
+def multipath_gain_db(
+    tx_position: Vec2,
+    rx_position: Vec2,
+    tx_gain: Callable[[Vec2], float],
+    rx_gain: Callable[[Vec2], float],
+    budget: LinkBudget,
+    paths: Optional[Sequence[PropagationPath]] = None,
+    extra_losses_db: Optional[Callable[[PropagationPath], Iterable[float]]] = None,
+    tx_power_dbm: float = 0.0,
+) -> Optional[float]:
+    """Received power (dBm; the coupling in dB at the default 0 dBm) from
+    a transmit pattern to a receive pattern — the one per-path power sum.
+
+    ``tx_gain``/``rx_gain`` give each end's pattern gain (dBi) toward a
+    point.  ``paths=None`` is the free-space LOS.  Otherwise each path
+    the caller traced contributes ``tx_power_dbm`` plus its departure
+    and arrival gains minus its propagation, wall and implementation
+    losses, power-summed; no paths gives ``None``.
+    ``extra_losses_db(path)`` adds further per-path losses (a blocker
+    on a leg), one at a time.  Callers: ``DeviceCoupling``, both SLS
+    trainers, ``VubiqReceiver``, ``coverage_map`` and ``path_snr_db``.
+    """
+    if paths is None:
+        return (
+            tx_power_dbm + tx_gain(rx_position) + rx_gain(tx_position)
+            - budget.propagation_loss_db(tx_position.distance_to(rx_position))
+            - budget.implementation_loss_db
+        )
+    if not paths:
+        return None
+    contributions = []
+    for path in paths:
+        loss = budget.propagation_loss_db(path.length_m()) + path.extra_loss_db()
+        if extra_losses_db is not None:
+            for extra in extra_losses_db(path):
+                loss += extra
+        # Each end's gain is read 1 m along its path direction; one Vec2
+        # per point, as this loop is the hot path of Figs 18/19.
+        out, back = path.departure_angle_rad(), path.arrival_angle_rad()
+        departure = Vec2(tx_position.x + math.cos(out), tx_position.y + math.sin(out))
+        arrival = Vec2(rx_position.x + math.cos(back), rx_position.y + math.sin(back))
+        contributions.append(
+            tx_power_dbm + tx_gain(departure) + rx_gain(arrival) - loss
+            - budget.implementation_loss_db
+        )
+    return power_sum_db(contributions)
 
 
 class RayTracer:
